@@ -14,22 +14,20 @@
 //!   through the tape-free inference engine, f32 or int8.
 //! * `RSD_LOADGEN_SOAK_MS` — sustained-soak mode: instead of a fixed
 //!   round count, replay the corpus (rewinding as needed) at the target
-//!   QPS for this long, then assert the p99 latency SLO directly.
-//!   Requires `RSD_OBS_TICK_MS` (the SLO reads the `serve.request`
-//!   histogram).
-//! * `RSD_LOADGEN_SLO_P99_MS` — the p99 SLO asserted in soak mode
-//!   (default 250).
-//! * `RSD_SERVE_SHARDS` / `RSD_SERVE_LRU` / `RSD_SERVE_BATCH` /
-//!   `RSD_SERVE_CHANNEL_CAP` — service sizing ([`rsd_serve::ServeConfig`]).
-//! * `RSD_SLO_P99_MS` / `RSD_SLO_BUDGET` — arm the continuous burn-rate
-//!   monitor ([`rsd_obs::slo`]): the series driver evaluates the error
-//!   budget each tick, and the run **fails** if any tick burned
-//!   (`slo.burn`), independent of the end-of-run quantile check.
+//!   QPS for this long, then check the whole run against the declared
+//!   SLO: at most `RSD_SLO_BUDGET` of the `serve.request` latencies may
+//!   exceed `RSD_SLO_P99_MS`. Requires both `RSD_SLO_P99_MS` and
+//!   `RSD_OBS_TICK_MS` (the check reads the `serve.request` histogram).
+//! * `RSD_SLO_P99_MS` / `RSD_SLO_BUDGET` — declare the SLO and arm the
+//!   continuous burn-rate monitor ([`rsd_obs::slo`]): the series driver
+//!   evaluates the error budget each tick, and the run **fails** if any
+//!   tick burned (`slo.burn`), independent of the soak check.
 //! * `RSD_OBS_HTTP` — serve `/metrics`, `/health`, `/snapshot` live on
 //!   `127.0.0.1:<port>` for the duration of the run.
-//! * `RSD_OBS_EXEMPLARS` — per-window slow-exemplar reservoir size
-//!   (default 4); the slowest requests' per-stage breakdowns land in
-//!   the series, the report, and the stderr table below.
+//!
+//! With the continuous layer armed, the four slowest requests' per-stage
+//! breakdowns land in the series, the report, and the stderr table
+//! below.
 //!
 //! Every run asserts the telemetry event ring shed nothing
 //! (`ring_dropped == 0`): load shedding in the observability layer under
@@ -51,9 +49,30 @@ use std::time::{Duration, Instant};
 use rsd_bench::{table3_configs, BinHarness, Prepared};
 use rsd_corpus::RiskLevel;
 use rsd_models::{PlmBaseline, ScoringModel, ServeModel};
+use rsd_obs::reqctx::REQUEST_FAMILY;
+use rsd_obs::slo::SloConfig;
 use rsd_obs::Value;
 use rsd_pipeline::{StreamSource, VecSource};
 use rsd_serve::{IncomingPost, RiskService, ServeConfig};
+
+/// Whole-run soak verdict: at most `budget` of the `total` recorded
+/// requests may exceed the SLO target. A run that recorded no requests
+/// fails, because its latencies never reached the histogram.
+fn soak_verdict(slo: &SloConfig, total: u64, over: u64) -> Result<(), String> {
+    if total == 0 {
+        return Err(format!(
+            "soak recorded no {REQUEST_FAMILY} latencies; set RSD_OBS_TICK_MS so latencies record"
+        ));
+    }
+    if over as f64 > slo.budget * total as f64 {
+        return Err(format!(
+            "soak SLO violated: {over} of {total} requests over the {:.1}ms target, \
+             above the {} budget (RSD_SLO_P99_MS / RSD_SLO_BUDGET)",
+            slo.target_p99_ms, slo.budget
+        ));
+    }
+    Ok(())
+}
 
 /// The corpus in global chronological submission order.
 fn replay_stream(dataset: &rsd_dataset::Rsd15k) -> Vec<IncomingPost> {
@@ -82,7 +101,14 @@ fn main() {
         1,
     );
     let soak_ms = rsd_obs::knob::optional_positive_env("RSD_LOADGEN_SOAK_MS");
-    let slo_p99_ms = rsd_obs::knob::positive_float_env("RSD_LOADGEN_SLO_P99_MS", 250.0);
+    let soak_slo = soak_ms.map(|_| {
+        rsd_obs::slo::config_from_env().unwrap_or_else(|| {
+            panic!(
+                "RSD_LOADGEN_SOAK_MS checks the run against the request SLO; \
+                 set RSD_SLO_P99_MS to declare it"
+            )
+        })
+    });
     let serve_cfg = ServeConfig::from_env().expect("serve config");
 
     let prepared = Prepared::from_env();
@@ -107,7 +133,7 @@ fn main() {
 
     let posts = replay_stream(&prepared.dataset);
     let per_round = posts.len() as u64;
-    match soak_ms {
+    match soak_ms.zip(soak_slo) {
         None => eprintln!(
             "loadgen: {} posts x {} round(s) at {} QPS via {} (shards {}, lru {}, batch {})",
             per_round,
@@ -118,12 +144,12 @@ fn main() {
             serve_cfg.lru_capacity,
             serve_cfg.batch_max
         ),
-        Some(ms) => eprintln!(
+        Some((ms, slo)) => eprintln!(
             "loadgen: soaking {}ms at {} QPS via {} (p99 SLO {:.1}ms, shards {}, lru {}, batch {})",
             ms,
             qps,
             serve_cfg.model.name(),
-            slo_p99_ms,
+            slo.target_p99_ms,
             serve_cfg.shards,
             serve_cfg.lru_capacity,
             serve_cfg.batch_max
@@ -202,27 +228,31 @@ fn main() {
         qps
     );
     let hists = rsd_obs::hist::merged();
-    if let Some(hist) = hists.get("serve.request") {
-        let ms = |q: f64| hist.quantile(q).unwrap_or(0) as f64 / 1e6;
+    let request_ms = |q: f64| {
+        hists
+            .get(REQUEST_FAMILY)
+            .and_then(|hist| hist.quantile(q))
+            .unwrap_or(0) as f64
+            / 1e6
+    };
+    if hists.contains_key(REQUEST_FAMILY) {
         println!(
             "loadgen: request latency p50 {:.3}ms p90 {:.3}ms p99 {:.3}ms",
-            ms(0.50),
-            ms(0.90),
-            ms(0.99)
+            request_ms(0.50),
+            request_ms(0.90),
+            request_ms(0.99)
         );
-        if soak_ms.is_some() {
-            let p99 = ms(0.99);
-            assert!(
-                p99 <= slo_p99_ms,
-                "soak SLO violated: request p99 {p99:.3}ms > {slo_p99_ms:.1}ms \
-                 (RSD_LOADGEN_SLO_P99_MS)"
-            );
-            println!("loadgen: soak p99 {p99:.3}ms within SLO {slo_p99_ms:.1}ms");
+    }
+    if let Some(slo) = soak_slo {
+        let (requests, over) = rsd_obs::hist::count_over(REQUEST_FAMILY, slo.target_ns());
+        if let Err(msg) = soak_verdict(&slo, requests, over) {
+            panic!("{msg}");
         }
-    } else if soak_ms.is_some() {
-        panic!(
-            "RSD_LOADGEN_SOAK_MS asserts the p99 SLO from the serve.request \
-             histogram; set RSD_OBS_TICK_MS so latencies record"
+        println!(
+            "loadgen: soak p99 {:.3}ms within SLO {:.1}ms ({over}/{requests} over target, budget {})",
+            request_ms(0.99),
+            slo.target_p99_ms,
+            slo.budget
         );
     }
     for (level, count) in RiskLevel::ALL.iter().zip(levels) {
@@ -313,4 +343,35 @@ fn main() {
         );
     }
     h.finish();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn soak_verdict_allows_the_budget_and_nothing_more() {
+        let slo = SloConfig {
+            target_p99_ms: 250.0,
+            budget: 0.01,
+        };
+        assert!(soak_verdict(&slo, 1_000, 0).is_ok());
+        assert!(soak_verdict(&slo, 1_000, 10).is_ok(), "exactly at budget");
+        let err = soak_verdict(&slo, 1_000, 11).unwrap_err();
+        assert!(err.contains("11 of 1000") && err.contains("RSD_SLO_P99_MS"));
+        assert!(soak_verdict(&slo, 99, 1).is_err(), "1 of 99 exceeds 1%");
+    }
+
+    #[test]
+    fn soak_verdict_fails_a_run_with_no_requests() {
+        let slo = SloConfig {
+            target_p99_ms: 250.0,
+            budget: 0.5,
+        };
+        let err = soak_verdict(&slo, 0, 0).unwrap_err();
+        assert!(
+            err.contains("RSD_OBS_TICK_MS"),
+            "names the missing knob: {err}"
+        );
+    }
 }

@@ -754,6 +754,9 @@ impl PlmInferenceModel {
                     s.p2c_hi[j] = s.p2c[j * w_rel + 2 * radius];
                 }
             }
+            // `j` indexes the score row and the per-key scale and edge
+            // tables in lockstep, with offsets inside the window.
+            #[allow(clippy::needless_range_loop)]
             for i in 0..seq {
                 fill_pairs(
                     &s.qq[i * dim + start..i * dim + start + hd],

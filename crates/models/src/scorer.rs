@@ -18,8 +18,8 @@
 //!   [`PlmInferenceModel`](crate::plm_infer::PlmInferenceModel), scored
 //!   on the tape-free f32 reference path (bit-identical to the tape).
 //! * `plm-int8` — the same frozen artifact on the per-channel int8
-//!   kernels: the fast path, gated against `plm-f32` by the quality
-//!   epsilon knobs (`RSD_QUANT_EPS`, `RSD_QUANT_MIN_AGREE`).
+//!   kernels: the fast path, gated against `plm-f32` by `bench_kernels`'
+//!   quality gates (per-logit error ≤ 0.1, argmax agreement ≥ 99%).
 //!
 //! [`score_windows`]: ScoringModel::score_windows
 
@@ -49,13 +49,6 @@ impl ServeModel {
     pub const KNOB: &'static str = "RSD_SERVE_MODEL";
     /// Valid knob spellings, in [`ServeModel`] declaration order.
     pub const CHOICES: &'static [&'static str] = &["gbdt", "plm-f32", "plm-int8"];
-
-    /// Resolve from `RSD_SERVE_MODEL`. Unset defaults to `gbdt`; a set
-    /// but unknown value aborts naming the knob and the valid spellings.
-    pub fn from_env() -> ServeModel {
-        Self::from_name(rsd_obs::knob::choice_env(Self::KNOB, Self::CHOICES, "gbdt"))
-            .expect("choice_env only returns listed spellings")
-    }
 
     /// Parse one of the [`Self::CHOICES`] spellings.
     pub fn from_name(name: &str) -> Result<ServeModel> {
@@ -98,6 +91,9 @@ pub struct ScoreScratch {
     plm: PlmScratch,
 }
 
+// One `Backend` lives per `ScoringModel`; boxing the larger variant
+// would only add an indirection on the serving hot path.
+#[allow(clippy::large_enum_variant)]
 enum Backend {
     Gbdt {
         extractor: FeatureExtractor,

@@ -51,8 +51,8 @@ impl QuantizedMatrix {
         let mut data = vec![0i8; in_dim * out_dim];
         let mut scales = vec![0.0f32; out_dim];
         for o in 0..out_dim {
-            for k in 0..in_dim {
-                col[k] = w.get(k, o);
+            for (k, c) in col.iter_mut().enumerate() {
+                *c = w.get(k, o);
             }
             scales[o] = quantize_row_i8(&col, &mut data[o * in_dim..(o + 1) * in_dim]);
         }

@@ -37,36 +37,6 @@ pub fn positive_or_default(var: &str, raw: Option<String>, default: u64) -> u64 
     optional_positive(var, raw).unwrap_or(default)
 }
 
-/// Parse `raw` (from env var `var`) as one of `choices`. Unset or empty
-/// resolves to `default`; anything else must match a choice exactly
-/// (after trimming) or the process aborts naming the knob *and* the
-/// valid spellings.
-pub fn choice(
-    var: &str,
-    raw: Option<String>,
-    choices: &[&'static str],
-    default: &'static str,
-) -> &'static str {
-    debug_assert!(choices.contains(&default));
-    let Some(raw) = raw else { return default };
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return default;
-    }
-    match choices.iter().find(|&&c| c == trimmed) {
-        Some(&c) => c,
-        None => panic!(
-            "invalid {var} value {raw:?}; expected one of {}",
-            choices.join(" | ")
-        ),
-    }
-}
-
-/// [`choice`] reading the environment directly.
-pub fn choice_env(var: &str, choices: &[&'static str], default: &'static str) -> &'static str {
-    choice(var, std::env::var(var).ok(), choices, default)
-}
-
 /// Parse `raw` (from env var `var`) as a positive finite float. Unset or
 /// empty resolves to `default`; anything else must parse as a float
 /// `> 0` or the process aborts naming the knob.
@@ -110,33 +80,6 @@ pub fn port_env(var: &str) -> Option<u16> {
     port(var, std::env::var(var).ok())
 }
 
-/// Parse `raw` (from env var `var`) as an integer in `lo..=hi`. Unset
-/// or empty resolves to `default`; anything else must parse inside the
-/// bounds or the process aborts naming the knob *and* the valid range.
-pub fn bounded_usize(
-    var: &str,
-    raw: Option<String>,
-    lo: usize,
-    hi: usize,
-    default: usize,
-) -> usize {
-    debug_assert!((lo..=hi).contains(&default));
-    let Some(raw) = raw else { return default };
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return default;
-    }
-    match trimmed.parse::<usize>() {
-        Ok(n) if (lo..=hi).contains(&n) => n,
-        _ => panic!("invalid {var} value {raw:?}; expected an integer in {lo}..={hi}"),
-    }
-}
-
-/// [`bounded_usize`] reading the environment directly.
-pub fn bounded_usize_env(var: &str, lo: usize, hi: usize, default: usize) -> usize {
-    bounded_usize(var, std::env::var(var).ok(), lo, hi, default)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,40 +102,6 @@ mod tests {
     }
 
     #[test]
-    fn choice_accepts_listed_values_and_defaults_when_unset() {
-        const MODELS: &[&str] = &["gbdt", "plm-f32", "plm-int8"];
-        assert_eq!(choice("K", None, MODELS, "gbdt"), "gbdt");
-        assert_eq!(choice("K", Some("".into()), MODELS, "gbdt"), "gbdt");
-        assert_eq!(choice("K", Some("  ".into()), MODELS, "gbdt"), "gbdt");
-        assert_eq!(
-            choice("K", Some("plm-int8".into()), MODELS, "gbdt"),
-            "plm-int8"
-        );
-        assert_eq!(
-            choice("K", Some(" plm-f32 ".into()), MODELS, "gbdt"),
-            "plm-f32"
-        );
-    }
-
-    #[test]
-    fn choice_garbage_names_the_knob_and_the_valid_spellings() {
-        for bad in ["plm", "PLM-INT8", "int8", "xgboost"] {
-            let err = std::panic::catch_unwind(|| {
-                choice(
-                    "RSD_SERVE_MODEL",
-                    Some(bad.to_string()),
-                    &["gbdt", "plm-f32", "plm-int8"],
-                    "gbdt",
-                )
-            })
-            .expect_err("must panic");
-            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-            assert!(msg.contains("RSD_SERVE_MODEL"), "names the knob: {msg}");
-            assert!(msg.contains("plm-int8"), "lists the choices: {msg}");
-        }
-    }
-
-    #[test]
     fn positive_float_parses_and_defaults() {
         assert_eq!(positive_float("K", None, 0.05), 0.05);
         assert_eq!(positive_float("K", Some("".into()), 0.05), 0.05);
@@ -200,12 +109,12 @@ mod tests {
         assert_eq!(positive_float("K", Some(" 99 ".into()), 0.0), 99.0);
         for bad in ["banana", "-1.5", "0", "0.0", "inf", "NaN"] {
             let err = std::panic::catch_unwind(|| {
-                positive_float("RSD_QUANT_EPS", Some(bad.to_string()), 0.05)
+                positive_float("RSD_SLO_BUDGET", Some(bad.to_string()), 0.05)
             })
             .expect_err("must panic");
             let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
             assert!(
-                msg.contains("RSD_QUANT_EPS"),
+                msg.contains("RSD_SLO_BUDGET"),
                 "names the knob for {bad:?}: {msg}"
             );
         }
@@ -225,25 +134,6 @@ mod tests {
             let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
             assert!(
                 msg.contains("RSD_OBS_HTTP") && msg.contains("65535"),
-                "names the knob and range for {bad:?}: {msg}"
-            );
-        }
-    }
-
-    #[test]
-    fn bounded_usize_defaults_bounds_and_hard_errors() {
-        assert_eq!(bounded_usize("K", None, 1, 1024, 4), 4);
-        assert_eq!(bounded_usize("K", Some("".into()), 1, 1024, 4), 4);
-        assert_eq!(bounded_usize("K", Some(" 16 ".into()), 1, 1024, 4), 16);
-        assert_eq!(bounded_usize("K", Some("1024".into()), 1, 1024, 4), 1024);
-        for bad in ["0", "1025", "banana", "-2"] {
-            let err = std::panic::catch_unwind(|| {
-                bounded_usize("RSD_OBS_EXEMPLARS", Some(bad.to_string()), 1, 1024, 4)
-            })
-            .expect_err("must panic");
-            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-            assert!(
-                msg.contains("RSD_OBS_EXEMPLARS") && msg.contains("1..=1024"),
                 "names the knob and range for {bad:?}: {msg}"
             );
         }

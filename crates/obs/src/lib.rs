@@ -2,9 +2,9 @@
 //!
 //! Five pieces, all opt-in at runtime:
 //!
-//! - a global thread-safe [`Registry`] (counters, gauges, log-bucket
-//!   histograms with p50/p90/p99, per-label span aggregates, and a
-//!   hierarchical span **tree** keyed by collapsed-stack paths);
+//! - a global thread-safe [`Registry`] (counters, gauges, and a
+//!   hierarchical span **tree** keyed by collapsed-stack paths, from
+//!   which per-label span aggregates fold);
 //! - RAII [`Span`] timers (`Span::enter("annotation.campaign.day")`)
 //!   that maintain a per-thread stack and fold wall-clock, self-time,
 //!   nesting depth, and allocation deltas into the registry, streaming
@@ -51,7 +51,7 @@ pub mod timeseries;
 pub mod trace_export;
 mod tree;
 
-pub use registry::{Histogram, Registry, SpanStat, StageStat, TreeStat};
+pub use registry::{Registry, SpanStat, StageStat, TreeStat};
 pub use report::{run_meta, RunReport};
 pub use reqctx::{ReqCtx, Stage};
 pub use span::{current_context, with_context, Span, SpanContext};
@@ -308,8 +308,7 @@ pub fn stage_progress(label: &'static str, items: u64, bytes: u64) {
 
 /// Register a stage with the stall watchdog: while registered (and not
 /// yet finished), the time-series driver emits a `stall` event if the
-/// stage reports no progress for `RSD_OBS_STALL_TICKS` consecutive
-/// ticks.
+/// stage reports no progress for 10 consecutive ticks.
 pub fn stage_register(label: &'static str) {
     if !enabled() {
         return;
@@ -354,15 +353,6 @@ pub fn gauge_tagged(label: &'static str, value: f64, fields: &[(&'static str, Va
     emit_record("gauge", label, &all);
 }
 
-/// Record a histogram observation (seconds, items, whatever — one unit
-/// per label).
-pub fn observe(label: &'static str, value: f64) {
-    if !enabled() {
-        return;
-    }
-    registry().observe(label, value);
-}
-
 /// Emit a free-form `event` NDJSON record.
 pub fn event(label: &'static str, fields: &[(&'static str, Value)]) {
     if !enabled() {
@@ -398,7 +388,6 @@ pub(crate) fn finish_span(rec: SpanRecord) {
         ring::publish(ring::EventKind::SpanEnd, rec.label, dur_ns, rec.self_ns);
         hist::observe_ns(rec.label, dur_ns);
     }
-    g.registry.record_span(rec.label, rec.elapsed, rec.depth);
     g.registry.record_tree(
         &rec.path,
         rec.elapsed.as_nanos() as u64,
@@ -486,49 +475,6 @@ mod tests {
     use std::sync::Arc as StdArc;
 
     #[test]
-    fn histogram_quantiles_match_uniform_distribution() {
-        let mut h = Histogram::default();
-        for i in 1..=10_000 {
-            h.observe(f64::from(i));
-        }
-        assert_eq!(h.count(), 10_000);
-        for (q, expected) in [(0.5, 5_000.0), (0.9, 9_000.0), (0.99, 9_900.0)] {
-            let got = h.quantile(q).unwrap();
-            let rel = (got - expected).abs() / expected;
-            assert!(rel < 0.15, "q{q}: got {got}, expected ~{expected}");
-        }
-    }
-
-    #[test]
-    fn histogram_quantiles_exact_for_constant_distribution() {
-        let mut h = Histogram::default();
-        for _ in 0..100 {
-            h.observe(0.125);
-        }
-        // min == max == value, so clamping pins every quantile exactly.
-        for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
-            assert_eq!(h.quantile(q), Some(0.125));
-        }
-        assert!((h.sum() - 12.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn histogram_spans_many_orders_of_magnitude() {
-        let mut h = Histogram::default();
-        // 90% tiny values, 10% huge: p50 near 1e-6, p99 near 1e3.
-        for _ in 0..900 {
-            h.observe(1e-6);
-        }
-        for _ in 0..100 {
-            h.observe(1e3);
-        }
-        let p50 = h.quantile(0.5).unwrap();
-        let p99 = h.quantile(0.99).unwrap();
-        assert!((1e-7..1e-5).contains(&p50), "p50 {p50}");
-        assert!((1e2..=1e3).contains(&p99), "p99 {p99}");
-    }
-
-    #[test]
     fn counters_and_gauges_are_exact_under_contention() {
         let reg = StdArc::new(Registry::new());
         let threads: u32 = 8;
@@ -540,7 +486,6 @@ mod tests {
                     for i in 0..per_thread {
                         reg.counter_add("contended", 1);
                         reg.gauge_set("last", f64::from(t * per_thread + i));
-                        reg.observe("dist", 1.0);
                     }
                 })
             })
@@ -550,10 +495,6 @@ mod tests {
         }
         assert_eq!(reg.counter("contended"), u64::from(threads * per_thread));
         assert!(reg.gauge("last").is_some());
-        assert_eq!(
-            reg.snapshot()["histograms"]["dist"]["count"],
-            u64::from(threads * per_thread)
-        );
     }
 
     #[test]
@@ -590,6 +531,47 @@ mod tests {
             assert_eq!(stat.count, 1);
             assert_eq!(stat.max_depth, 0);
         }
+    }
+
+    #[test]
+    fn span_stat_folds_self_nesting_and_phantom_frames() {
+        const LABELS: [&str; 2] = ["fold.a", "fold.work"];
+        let mut stats = Vec::new();
+        let events = capture(|| {
+            {
+                let _outer = Span::enter("fold.a");
+                let _inner = Span::enter("fold.a");
+            }
+            let ctx = {
+                let _submit = Span::enter("fold.submit");
+                let _mid = Span::enter("fold.mid");
+                current_context()
+            };
+            std::thread::scope(|s| {
+                s.spawn(|| with_context(&ctx, || drop(Span::enter("fold.work"))));
+            });
+            drop(Span::enter("fold.work"));
+            stats = LABELS.map(|l| registry().span_stat(l).expect(l)).to_vec();
+        });
+        let ns = |e: &&Value| (e["ms"].as_f64().unwrap() * 1e6).round() as u128;
+        for (label, stat) in LABELS.iter().zip(&stats) {
+            let recs: Vec<&Value> = events
+                .iter()
+                .filter(|e| e["kind"] == "span" && e["label"] == *label)
+                .collect();
+            assert_eq!(stat.count, recs.len() as u64, "{label} count");
+            let total: u128 = recs.iter().map(ns).sum();
+            assert!(stat.total_ns.abs_diff(total) <= 2, "{label} total");
+            let max = recs.iter().map(ns).max().unwrap();
+            assert!(stat.max_ns.abs_diff(max) <= 1, "{label} max");
+            let depth = recs.iter().map(|e| e["depth"].as_i64().unwrap());
+            assert_eq!(i64::from(stat.max_depth), depth.max().unwrap(), "{label}");
+        }
+        // `fold.a` inside itself: two instances, the inner one at depth 1.
+        assert_eq!((stats[0].count, stats[0].max_depth), (2, 1));
+        // The worker instance sits under two phantom frames; the other is
+        // top level.
+        assert_eq!((stats[1].count, stats[1].max_depth), (2, 2));
     }
 
     #[test]

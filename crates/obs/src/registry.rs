@@ -1,119 +1,12 @@
-//! Thread-safe metrics registry: counters, gauges, fixed-bucket
-//! histograms with quantile readout, and per-label span aggregates.
+//! Thread-safe metrics registry: counters, gauges, stage totals, and
+//! the span call tree (per-label span aggregates fold out of it).
 
 use parking_lot::Mutex;
 use serde_json::{Map, Value};
 use std::collections::BTreeMap;
-use std::time::Duration;
 
-/// Number of histogram buckets per decade. The bucket ratio is
-/// `10^(1/20) ≈ 1.122`, so quantile estimates carry at most ~6% relative
-/// error — plenty for wall-clock and throughput distributions.
-const BUCKETS_PER_DECADE: usize = 20;
-/// Lowest representable histogram value (1 ns when observing seconds).
-const HIST_MIN: f64 = 1e-9;
-/// Decades covered above [`HIST_MIN`].
-const DECADES: usize = 18;
-/// Total bucket count (plus implicit under/overflow clamping).
-const N_BUCKETS: usize = BUCKETS_PER_DECADE * DECADES;
-
-/// Log-spaced fixed-bucket histogram over `[1e-9, 1e9)`.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    counts: Vec<u64>,
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Default for Histogram {
-    fn default() -> Histogram {
-        Histogram {
-            counts: vec![0; N_BUCKETS],
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-}
-
-impl Histogram {
-    /// Bucket index for a value, clamped into range.
-    fn bucket(value: f64) -> usize {
-        if value <= HIST_MIN {
-            return 0;
-        }
-        let idx = (BUCKETS_PER_DECADE as f64 * (value / HIST_MIN).log10()).floor();
-        (idx as usize).min(N_BUCKETS - 1)
-    }
-
-    /// Geometric midpoint of a bucket, the quantile estimate for values
-    /// that land in it.
-    fn bucket_mid(idx: usize) -> f64 {
-        HIST_MIN * 10f64.powf((idx as f64 + 0.5) / BUCKETS_PER_DECADE as f64)
-    }
-
-    /// Record one observation. Non-finite values are dropped.
-    pub fn observe(&mut self, value: f64) {
-        if !value.is_finite() {
-            return;
-        }
-        self.counts[Self::bucket(value)] += 1;
-        self.count += 1;
-        self.sum += value;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of observations.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Estimate the `q`-quantile (`0.0..=1.0`) by cumulative walk,
-    /// clamped to the observed `[min, max]`. Returns `None` when empty.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        let rank = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (idx, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return Some(Self::bucket_mid(idx).clamp(self.min, self.max));
-            }
-        }
-        Some(self.max)
-    }
-
-    /// Summary as a JSON object (count, sum, min/max, p50/p90/p99).
-    pub fn summary(&self) -> Value {
-        let mut m = Map::new();
-        m.insert("count", Value::Int(self.count as i128));
-        m.insert("sum", Value::Float(self.sum));
-        if self.count > 0 {
-            m.insert("min", Value::Float(self.min));
-            m.insert("max", Value::Float(self.max));
-            m.insert("mean", Value::Float(self.sum / self.count as f64));
-            for (name, q) in [("p50", 0.5), ("p90", 0.9), ("p99", 0.99)] {
-                if let Some(v) = self.quantile(q) {
-                    m.insert(name, Value::Float(v));
-                }
-            }
-        }
-        Value::Object(m)
-    }
-}
-
-/// Aggregate over all completed spans with one label.
+/// Aggregate over all completed spans with one label, folded from
+/// every call-tree path that ends in that label.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SpanStat {
     /// Completed span count.
@@ -196,8 +89,6 @@ pub struct StageStat {
 struct Inner {
     counters: BTreeMap<&'static str, u64>,
     gauges: BTreeMap<&'static str, f64>,
-    histograms: BTreeMap<&'static str, Histogram>,
-    spans: BTreeMap<&'static str, SpanStat>,
     stages: BTreeMap<&'static str, StageStat>,
     tree: BTreeMap<String, TreeStat>,
 }
@@ -235,35 +126,17 @@ impl Registry {
         self.inner.lock().gauges.get(label).copied()
     }
 
-    /// Record an observation into a histogram.
-    pub fn observe(&self, label: &'static str, value: f64) {
-        self.inner
-            .lock()
-            .histograms
-            .entry(label)
-            .or_default()
-            .observe(value);
-    }
-
-    /// Estimate a histogram quantile.
-    pub fn histogram_quantile(&self, label: &str, q: f64) -> Option<f64> {
-        self.inner.lock().histograms.get(label)?.quantile(q)
-    }
-
-    /// Fold one completed span into its label's aggregate.
-    pub fn record_span(&self, label: &'static str, elapsed: Duration, depth: u32) {
-        let ns = elapsed.as_nanos();
-        let mut inner = self.inner.lock();
-        let stat = inner.spans.entry(label).or_default();
-        stat.count += 1;
-        stat.total_ns += ns;
-        stat.max_ns = stat.max_ns.max(ns);
-        stat.max_depth = stat.max_depth.max(depth);
-    }
-
-    /// Read a span aggregate.
+    /// Read a span aggregate: the fold of every tree path whose last
+    /// segment is `label`.
     pub fn span_stat(&self, label: &str) -> Option<SpanStat> {
-        self.inner.lock().spans.get(label).copied()
+        let inner = self.inner.lock();
+        let mut stat = None;
+        for (path, t) in &inner.tree {
+            if leaf(path) == label {
+                fold_span(stat.get_or_insert_with(SpanStat::default), path, t);
+            }
+        }
+        stat
     }
 
     /// Add to a stage's cumulative item/byte totals.
@@ -319,7 +192,7 @@ impl Registry {
     }
 
     /// Dump everything as one JSON object with `counters` / `gauges` /
-    /// `histograms` / `spans` sections.
+    /// `spans` / `stages` / `tree` sections.
     pub fn snapshot(&self) -> Value {
         let inner = self.inner.lock();
         let mut counters = Map::new();
@@ -330,12 +203,12 @@ impl Registry {
         for (k, v) in &inner.gauges {
             gauges.insert(*k, Value::Float(*v));
         }
-        let mut histograms = Map::new();
-        for (k, h) in &inner.histograms {
-            histograms.insert(*k, h.summary());
+        let mut by_label: BTreeMap<&str, SpanStat> = BTreeMap::new();
+        for (path, t) in &inner.tree {
+            fold_span(by_label.entry(leaf(path)).or_default(), path, t);
         }
         let mut spans = Map::new();
-        for (k, s) in &inner.spans {
+        for (k, s) in &by_label {
             spans.insert(*k, s.summary());
         }
         let mut stages = Map::new();
@@ -352,7 +225,6 @@ impl Registry {
         let mut out = Map::new();
         out.insert("counters", Value::Object(counters));
         out.insert("gauges", Value::Object(gauges));
-        out.insert("histograms", Value::Object(histograms));
         out.insert("spans", Value::Object(spans));
         if !stages.is_empty() {
             out.insert("stages", Value::Object(stages));
@@ -366,4 +238,18 @@ impl Registry {
     pub fn reset(&self) {
         *self.inner.lock() = Inner::default();
     }
+}
+
+/// Last segment of a `;`-joined tree path: the span's own label.
+fn leaf(path: &str) -> &str {
+    path.rsplit(';').next().unwrap_or(path)
+}
+
+/// Fold one tree entry into a per-label aggregate. The entry's nesting
+/// depth is its segment count minus one, phantom context frames included.
+fn fold_span(stat: &mut SpanStat, path: &str, t: &TreeStat) {
+    stat.count += t.count;
+    stat.total_ns += t.total_ns;
+    stat.max_ns = stat.max_ns.max(t.max_ns);
+    stat.max_depth = stat.max_depth.max(path.matches(';').count() as u32);
 }

@@ -12,15 +12,15 @@
 //! bounded queue, used MPSC here): each slot carries a sequence atomic
 //! that encodes whether it is free for the producer generation or ready
 //! for the consumer. Producers claim a ticket with a CAS on `head`;
-//! the (single) consumer walks `tail`. Capacity comes from
-//! `RSD_OBS_RING_CAP` (rounded up to a power of two, default 65536).
+//! the (single) consumer walks `tail`. The global ring holds
+//! [`DEFAULT_CAPACITY`] (65536) slots.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-/// Default slot count (power of two).
+/// Slot count of the global ring (power of two).
 pub const DEFAULT_CAPACITY: usize = 1 << 16;
 
 /// What a ring event describes. Kept intentionally small: every variant
@@ -185,17 +185,10 @@ static ARMED: AtomicBool = AtomicBool::new(false);
 
 static RING: OnceLock<EventRing> = OnceLock::new();
 
-/// The global ring (created on first use; capacity from
-/// `RSD_OBS_RING_CAP` — an invalid value hard-errors naming the knob).
+/// The global ring (created on first use with [`DEFAULT_CAPACITY`]
+/// slots).
 pub fn global() -> &'static EventRing {
-    RING.get_or_init(|| {
-        let cap = crate::knob::positive_or_default(
-            "RSD_OBS_RING_CAP",
-            std::env::var("RSD_OBS_RING_CAP").ok(),
-            DEFAULT_CAPACITY as u64,
-        ) as usize;
-        EventRing::with_capacity(cap)
-    })
+    RING.get_or_init(|| EventRing::with_capacity(DEFAULT_CAPACITY))
 }
 
 /// Arm or disarm continuous publishing. Armed by

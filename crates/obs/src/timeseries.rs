@@ -16,10 +16,9 @@
 //! ```
 //!
 //! A **stall watchdog** rides the same tick: stages announced via
-//! [`crate::stage_register`] that report no progress for
-//! `RSD_OBS_STALL_TICKS` consecutive ticks (default 10) emit a
-//! `{"kind":"stall",...}` line (and an `obs.stall` NDJSON event) until
-//! they move again or call [`crate::stage_finish`].
+//! [`crate::stage_register`] that report no progress for 10 consecutive
+//! ticks emit a `{"kind":"stall",...}` line (and an `obs.stall` NDJSON
+//! event) until they move again or call [`crate::stage_finish`].
 //!
 //! Three request-scoped extensions ride the tick as well:
 //!
@@ -55,8 +54,8 @@ use std::time::{Duration, Instant};
 /// Default tick when only trace export is requested (the ring still
 /// needs a consumer).
 const TRACE_ONLY_TICK_MS: u64 = 200;
-/// Default stall threshold in ticks.
-const DEFAULT_STALL_TICKS: u32 = 10;
+/// Stall threshold in ticks for env-started drivers.
+const STALL_TICKS: u32 = 10;
 /// Hard cap on retained trace events (64 bytes each → ≤ 64 MiB).
 const MAX_TRACE_EVENTS: usize = 1 << 20;
 
@@ -82,10 +81,10 @@ fn truthy(var: &str) -> bool {
         .unwrap_or(false)
 }
 
-/// Read `RSD_OBS_TICK_MS` / `RSD_OBS_TRACE` / `RSD_OBS_STALL_TICKS` and
-/// start the driver for one bench binary. Returns `None` when neither a
-/// tick nor trace export is requested — the continuous layer then stays
-/// disarmed and hot paths pay a single atomic load.
+/// Read `RSD_OBS_TICK_MS` / `RSD_OBS_TRACE` and start the driver for one
+/// bench binary. Returns `None` when neither a tick nor trace export is
+/// requested — the continuous layer then stays disarmed and hot paths
+/// pay a single atomic load.
 ///
 /// Invalid (unparsable) knob values hard-error naming the knob, matching
 /// the `RSD_SCALE` precedent; `""`/`"0"`/`"off"` legitimately disable.
@@ -100,11 +99,7 @@ pub fn start(bin: &str, scale: &str) -> Option<SeriesGuard> {
         tick: Duration::from_millis(tick_ms.unwrap_or(TRACE_ONLY_TICK_MS).max(1)),
         series_path: tick_ms.map(|_| dir.join(format!("{bin}.series.ndjson"))),
         trace_path: trace.then(|| dir.join(format!("{bin}.trace.json"))),
-        stall_ticks: crate::knob::positive_or_default(
-            "RSD_OBS_STALL_TICKS",
-            std::env::var("RSD_OBS_STALL_TICKS").ok(),
-            u64::from(DEFAULT_STALL_TICKS),
-        ) as u32,
+        stall_ticks: STALL_TICKS,
     };
     Some(start_with(opts))
 }

@@ -226,7 +226,14 @@ impl ThreadPool {
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        // Set the flag under the queue lock: a worker checks it while
+        // holding that lock right before waiting, so an unlocked store
+        // could land between its check and its wait and the wakeup
+        // would be lost, hanging the join below.
+        {
+            let _queue = lock(&self.shared.queue);
+            self.shared.shutdown.store(true, Ordering::Release);
+        }
         self.shared.work_cv.notify_all();
         for h in self.handles.drain(..) {
             let _ = h.join();

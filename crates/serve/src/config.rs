@@ -1,6 +1,8 @@
-//! Serving knobs, resolved from the environment with hard errors on
-//! invalid values (the `RSD_SCALE` precedent: a typo'd knob must name
-//! itself and abort, never silently fall back to a default).
+//! Serving configuration. Sizing is fixed at its defaults (tests build
+//! configs directly); the backend choice and the stall-injection fault
+//! come from the environment with hard errors on invalid values (the
+//! `RSD_SCALE` precedent: a typo'd knob must name itself and abort,
+//! never silently fall back to a default).
 
 use rsd_common::{Result, RsdError};
 use rsd_models::ServeModel;
@@ -8,16 +10,13 @@ use rsd_models::ServeModel;
 /// Configuration for [`RiskService`](crate::RiskService).
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Number of user-state shards (`RSD_SERVE_SHARDS`, default 8).
+    /// Number of user-state shards (default 8).
     pub shards: usize,
-    /// Maximum resident users across all shards
-    /// (`RSD_SERVE_LRU`, default 65 536).
+    /// Maximum resident users across all shards (default 65 536).
     pub lru_capacity: usize,
-    /// Micro-batch size cap for the scoring worker
-    /// (`RSD_SERVE_BATCH`, default 64).
+    /// Micro-batch size cap for the scoring worker (default 64).
     pub batch_max: usize,
-    /// Bounded-channel capacity for ingress and results
-    /// (`RSD_SERVE_CHANNEL_CAP`, default 1024).
+    /// Bounded-channel capacity for ingress and results (default 1024).
     pub channel_cap: usize,
     /// Scoring backend the service is expected to run
     /// (`RSD_SERVE_MODEL`: `gbdt | plm-f32 | plm-int8`, default `gbdt`).
@@ -46,17 +45,15 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// Resolve from the environment. Unset knobs take their defaults;
-    /// set-but-invalid knobs hard-error with the knob named.
+    /// The defaults with `RSD_SERVE_MODEL` and
+    /// `RSD_SERVE_INJECT_STALL_MS` applied. Unset knobs keep their
+    /// defaults; set-but-invalid knobs hard-error with the knob named.
     pub fn from_env() -> Result<ServeConfig> {
         let d = ServeConfig::default();
         Ok(ServeConfig {
-            shards: positive_env("RSD_SERVE_SHARDS", d.shards)?,
-            lru_capacity: positive_env("RSD_SERVE_LRU", d.lru_capacity)?,
-            batch_max: positive_env("RSD_SERVE_BATCH", d.batch_max)?,
-            channel_cap: positive_env("RSD_SERVE_CHANNEL_CAP", d.channel_cap)?,
             model: model_env(d.model)?,
             inject_stall_ms: optional_ms_env("RSD_SERVE_INJECT_STALL_MS")?,
+            ..d
         })
     }
 }
@@ -94,21 +91,6 @@ fn model_env(default: ServeModel) -> Result<ServeModel> {
     }
 }
 
-/// Parse `var` as a positive integer, defaulting when unset. A set but
-/// unparsable (or zero) value is a configuration error naming the knob.
-pub fn positive_env(var: &'static str, default: usize) -> Result<usize> {
-    match std::env::var(var) {
-        Err(_) => Ok(default),
-        Ok(raw) => match raw.trim().parse::<usize>() {
-            Ok(n) if n > 0 => Ok(n),
-            _ => Err(RsdError::config(
-                var,
-                format!("expected a positive integer, got {raw:?}"),
-            )),
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,36 +100,11 @@ mod tests {
     // this crate).
     #[test]
     fn env_parsing_defaults_and_rejects_garbage() {
-        for var in [
-            "RSD_SERVE_SHARDS",
-            "RSD_SERVE_LRU",
-            "RSD_SERVE_BATCH",
-            "RSD_SERVE_CHANNEL_CAP",
-        ] {
-            std::env::remove_var(var);
-        }
         let cfg = ServeConfig::from_env().unwrap();
-        assert_eq!(cfg.shards, 8);
-        assert_eq!(cfg.batch_max, 64);
-
-        std::env::set_var("RSD_SERVE_SHARDS", "16");
-        std::env::set_var("RSD_SERVE_BATCH", " 32 ");
-        let cfg = ServeConfig::from_env().unwrap();
-        assert_eq!(cfg.shards, 16);
-        assert_eq!(cfg.batch_max, 32, "whitespace trimmed");
-
-        for bad in ["banana", "", "0", "-3", "1.5"] {
-            std::env::set_var("RSD_SERVE_LRU", bad);
-            let err = ServeConfig::from_env().unwrap_err().to_string();
-            assert!(
-                err.contains("RSD_SERVE_LRU"),
-                "error must name the knob: {err}"
-            );
-        }
-
-        for var in ["RSD_SERVE_SHARDS", "RSD_SERVE_LRU", "RSD_SERVE_BATCH"] {
-            std::env::remove_var(var);
-        }
+        assert_eq!(
+            (cfg.shards, cfg.lru_capacity, cfg.batch_max, cfg.channel_cap),
+            (8, 65_536, 64, 1024)
+        );
 
         // Stall-injection knob: optional, disable spellings, named
         // errors on garbage.

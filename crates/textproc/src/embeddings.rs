@@ -118,6 +118,9 @@ impl WordEmbeddings {
                     let radius = 1 + (train_rng.gen::<usize>() % cfg.window);
                     let lo = pos.saturating_sub(radius);
                     let hi = (pos + radius + 1).min(doc.len());
+                    // The window position is compared with `pos` as well
+                    // as used to index the document.
+                    #[allow(clippy::needless_range_loop)]
                     for ctx_pos in lo..hi {
                         if ctx_pos == pos {
                             continue;
@@ -306,8 +309,10 @@ mod tests {
     fn validation_errors() {
         assert!(WordEmbeddings::train(&[], &SkipGramConfig::default()).is_err());
         let docs = vec!["one two".to_string()];
-        let mut cfg = SkipGramConfig::default();
-        cfg.dim = 0;
+        let cfg = SkipGramConfig {
+            dim: 0,
+            ..Default::default()
+        };
         assert!(WordEmbeddings::train(&docs, &cfg).is_err());
         // min_count filters everything.
         let cfg = SkipGramConfig {

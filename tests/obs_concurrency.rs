@@ -1,29 +1,20 @@
 //! Registry determinism under contention: hammering one [`Registry`]
 //! from the `rsd-par` pool must produce a snapshot that is bit-for-bit
 //! identical to the same workload applied serially. This holds because
-//! every aggregate is either integer-typed (counters, span/tree
-//! nanoseconds), order-independent in f64 (histogram sums of small
-//! integers are exact), or deterministic last-write (gauges set to a
-//! constant).
-
-use std::time::Duration;
+//! every aggregate is either integer-typed (counters, tree nanoseconds
+//! and the span aggregates folded from them) or deterministic
+//! last-write (gauges set to a constant).
 
 use rsd_obs::Registry;
 
 const ITEMS: usize = 10_000;
 const GRAIN: usize = 64;
 
-/// The per-item workload: one counter bump, one histogram observation,
-/// one flat span, one tree span. Everything derived from `i` alone so
-/// execution order cannot matter.
+/// The per-item workload: one counter bump, one tree span, one gauge
+/// write. Everything derived from `i` alone so execution order cannot
+/// matter.
 fn drive(reg: &Registry, i: usize) {
     reg.counter_add("conc.items", 1);
-    reg.observe("conc.sizes", (i % 7 + 1) as f64);
-    reg.record_span(
-        "conc.step",
-        Duration::from_nanos(((i % 5 + 1) * 100_000) as u64),
-        (i % 3) as u32,
-    );
     reg.record_tree(
         "conc.outer;conc.step",
         ((i % 5 + 1) * 100_000) as u64,
@@ -78,4 +69,7 @@ fn parallel_and_serial_snapshots_are_bit_identical() {
     let tree = reg.tree_stat("conc.outer;conc.step").unwrap();
     assert_eq!(tree.count, ITEMS as u64);
     assert!(tree.self_ns <= tree.total_ns);
+    let span = reg.span_stat("conc.step").unwrap();
+    assert_eq!((span.count, span.total_ns), (tree.count, tree.total_ns));
+    assert_eq!(span.max_depth, 1);
 }
